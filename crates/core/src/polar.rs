@@ -71,22 +71,18 @@ impl Polar {
         let demand = oracle.full_day_forecast();
         let n = grid.num_regions();
         // Pairwise region proximity order, precomputed once: all (k, j)
-        // sorted by center distance.
-        let mut by_distance: Vec<(u32, u32)> = Vec::with_capacity(n * n);
+        // sorted by center distance (ties by pair), the distances built
+        // once per origin rather than per comparison.
+        let mut by_distance: Vec<(f64, u32, u32)> = Vec::with_capacity(n * n);
+        let mut dists = Vec::new();
         for k in 0..n as u32 {
-            for j in 0..n as u32 {
-                by_distance.push((k, j));
-            }
+            grid.center_distances_into(RegionId(k), &mut dists);
+            by_distance.extend((0..n as u32).zip(&dists).map(|(j, &d)| (d, k, j)));
         }
-        let dist = |k: u32, j: u32| {
-            grid.center(RegionId(k))
-                .distance_m(&grid.center(RegionId(j)))
-        };
-        by_distance.sort_by(|&(a, b), &(c, d)| {
-            dist(a, b)
-                .partial_cmp(&dist(c, d))
+        by_distance.sort_by(|x, y| {
+            x.0.partial_cmp(&y.0)
                 .expect("distances are finite")
-                .then((a, b).cmp(&(c, d)))
+                .then((x.1, x.2).cmp(&(y.1, y.2)))
         });
 
         let mut blueprint = Vec::with_capacity(demand.len());
@@ -111,7 +107,7 @@ impl Polar {
             let mut need: Vec<f64> = demand[slot].clone();
             // Greedy proximity transport.
             let mut flows = BTreeMap::new();
-            for &(k, j) in &by_distance {
+            for &(_, k, j) in &by_distance {
                 let f = supply[k as usize].min(need[j as usize]);
                 if f > 1e-9 {
                     supply[k as usize] -= f;

@@ -76,6 +76,13 @@ impl DemandShaper for NoShaping {}
 /// times are uniform (which makes the arrival process piecewise-constant
 /// Poisson); pickup points are uniform within the origin region;
 /// destinations follow a gravity model `P(j|i) ∝ dest_w_j · e^{−d_ij/L}`.
+///
+/// Cost: one `O(regions)` gravity cumulative per occupied
+/// `(slot, origin)` cell, in which each destination pair costs a
+/// multiply, an add, a `sqrt`, an `asin` and an `exp` (the haversine's
+/// trig terms are shared per destination row and column; see
+/// [`Grid::center_distances_into`]), plus `O(log regions)` per trip to
+/// sample from it.
 pub struct NycLikeGenerator {
     profile: NycProfile,
     config: NycLikeConfig,
@@ -250,16 +257,18 @@ impl NycLikeGenerator {
     /// region `j` gets probability `∝ dest_w[j] · exp(−d(i,j) / L)`.
     /// Shared by every trip of an occupied `(slot, origin)` cell — the
     /// per-trip O(regions) rebuild was the generation wall at large
-    /// grids. The float sequence (raw weights, one total, per-entry
-    /// division, running sum) matches the per-trip computation exactly,
-    /// so sampling from it is bit-identical.
+    /// grids. The distances come from [`Grid::center_distances_into`],
+    /// which hoists the haversine's trig terms to one per destination
+    /// row and column, so the transcendental calls left per pair are a
+    /// `sqrt`, an `asin` and the gravity `exp`. The float sequence
+    /// (per-pair haversine, raw weights, one total, per-entry division,
+    /// running sum) matches the per-trip computation exactly, so
+    /// sampling from it is bit-identical.
     fn gravity_cum_into(&self, origin: RegionId, dest_w: &[f64], cum: &mut Vec<f64>) {
-        let oc = self.grid.center(origin);
-        cum.clear();
-        cum.extend(dest_w.iter().enumerate().map(|(j, &w)| {
-            let d = oc.distance_m(&self.grid.center(RegionId(j as u32)));
-            w * (-d / self.config.gravity_scale_m).exp()
-        }));
+        self.grid.center_distances_into(origin, cum);
+        for (x, &w) in cum.iter_mut().zip(dest_w) {
+            *x = w * (-*x / self.config.gravity_scale_m).exp();
+        }
         let total: f64 = cum.iter().sum();
         let mut acc = 0.0;
         for w in cum.iter_mut() {
@@ -381,39 +390,63 @@ mod tests {
     #[test]
     fn hoisted_gravity_cum_matches_the_per_trip_computation() {
         // The per-(slot, origin) gravity cumulative must reproduce the
-        // float sequence the old per-trip code computed inline: raw
-        // weights, one total, divide each weight, running sum.
-        let g = small_gen();
-        let dest_w = g.profile().dest_weights(17);
+        // float sequence the old per-trip code computed inline: per-pair
+        // haversine between centers, raw weights, one total, divide each
+        // weight, running sum. Odd, degenerate and city-scale grid
+        // shapes cover the row/column hoisting of the distances.
         let scale = NycLikeConfig::default().gravity_scale_m;
+        let config = NycLikeConfig {
+            orders_per_day: 20_000.0,
+            seed: 7,
+            ..NycLikeConfig::default()
+        };
+        let grids: [(u32, u32, &[u32]); 6] = [
+            (16, 16, &[0, 37, 255]),
+            (5, 7, &[0, 1, 17, 34]),
+            (1, 9, &[0, 4, 8]),
+            (33, 17, &[0, 32, 280, 560]),
+            (64, 64, &[0, 2_080, 4_095]),
+            (200, 200, &[0, 20_100, 39_999]),
+        ];
         let mut cum = Vec::new();
-        for origin in [RegionId(0), RegionId(37), RegionId(255)] {
-            g.gravity_cum_into(origin, &dest_w, &mut cum);
-            let oc = g.grid().center(origin);
-            let weights: Vec<f64> = dest_w
-                .iter()
-                .enumerate()
-                .map(|(j, &w)| {
-                    let d = oc.distance_m(&g.grid().center(RegionId(j as u32)));
-                    w * (-d / scale).exp()
-                })
-                .collect();
-            let total: f64 = weights.iter().sum();
-            let mut acc = 0.0;
-            let expect: Vec<f64> = weights
-                .iter()
-                .map(|&w| {
-                    acc += w / total;
-                    acc
-                })
-                .collect();
-            assert_eq!(cum.len(), expect.len());
-            for (j, (&got, &want)) in cum.iter().zip(&expect).enumerate() {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "origin {origin:?} dest {j}: {got} != {want}"
-                );
+        for (cols, rows, origins) in grids {
+            let grid = Grid::new(
+                mrvd_spatial::NYC_EXTENT.0,
+                mrvd_spatial::NYC_EXTENT.1,
+                cols,
+                rows,
+            );
+            let g = NycLikeGenerator::with_grid(grid, config.clone());
+            let dest_w = g.profile().dest_weights(17);
+            for &origin in origins {
+                let origin = RegionId(origin);
+                g.gravity_cum_into(origin, &dest_w, &mut cum);
+                let oc = g.grid().center(origin);
+                let weights: Vec<f64> = dest_w
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &w)| {
+                        let d = oc.distance_m(&g.grid().center(RegionId(j as u32)));
+                        w * (-d / scale).exp()
+                    })
+                    .collect();
+                let total: f64 = weights.iter().sum();
+                let mut acc = 0.0;
+                let expect: Vec<f64> = weights
+                    .iter()
+                    .map(|&w| {
+                        acc += w / total;
+                        acc
+                    })
+                    .collect();
+                assert_eq!(cum.len(), expect.len());
+                for (j, (&got, &want)) in cum.iter().zip(&expect).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{cols}x{rows} origin {origin:?} dest {j}: {got} != {want}"
+                    );
+                }
             }
         }
     }

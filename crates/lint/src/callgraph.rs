@@ -4,8 +4,10 @@
 //! call-site resolution with heuristics tuned to this codebase:
 //!
 //! * **free calls** — same-file fn first, then unique workspace name;
-//!   `Type::method` paths through the owner-type table; `drop(x)`
-//!   special-cased to `Type::drop` when `x` has a type hint;
+//!   `Type::method` paths through the owner-type table; `module::fn`
+//!   paths through the workspace module map (a file `src/m.rs` or
+//!   `src/m/mod.rs` defines module `m`); `drop(x)` special-cased to
+//!   `Type::drop` when `x` has a type hint;
 //! * **method calls** — receiver-type hints first (`self` → impl type,
 //!   typed `let`s/params, constructor RHS inference, struct field
 //!   chains incl. `Vec` indexing), then a unique-name fallback over all
@@ -156,6 +158,10 @@ pub enum UnresolvedKind {
     /// A unique workspace method matches, but the name is std-common
     /// and the receiver untyped — too risky to follow.
     CommonName,
+    /// A `module::fn` path names a workspace module, but no fn of that
+    /// name is defined in the module's file (a re-export or an inline
+    /// module); candidates are the workspace fns of that name.
+    ModulePath,
 }
 
 impl UnresolvedKind {
@@ -165,6 +171,7 @@ impl UnresolvedKind {
             UnresolvedKind::Dynamic => "dynamic",
             UnresolvedKind::Ambiguous => "ambiguous",
             UnresolvedKind::CommonName => "common-name",
+            UnresolvedKind::ModulePath => "module-path",
         }
     }
 }
@@ -204,6 +211,8 @@ pub struct CallGraph {
     traits: BTreeSet<String>,
     trait_impl_types: BTreeMap<String, Vec<String>>,
     workspace_types: BTreeSet<String>,
+    /// Module name → the files defining it (see [`module_name`]).
+    module_files: BTreeMap<String, Vec<usize>>,
 }
 
 enum Res {
@@ -219,6 +228,9 @@ impl CallGraph {
         // Pass 1: nodes + lookup tables.
         for (fi, f) in files.iter().enumerate() {
             g.files.push(f.rel.to_string());
+            if let Some(m) = module_name(f.rel) {
+                g.module_files.entry(m.to_string()).or_default().push(fi);
+            }
             for s in &f.items.structs {
                 g.workspace_types.insert(s.name.clone());
                 let entry = g.struct_fields.entry(s.name.clone()).or_default();
@@ -458,6 +470,9 @@ impl CallGraph {
             Some(q) if self.workspace_types.contains(q) => {
                 return self.qualified_lookup(q, &call.name);
             }
+            Some(q) if self.module_files.contains_key(q) => {
+                return self.module_lookup(q, &call.name);
+            }
             // std module paths (`mem::take`, `thread::spawn`, …).
             Some(_) => return Res::External,
         }
@@ -494,6 +509,25 @@ impl CallGraph {
             };
         }
         Res::External
+    }
+
+    /// `module::name(…)` lookup among the free fns defined in the
+    /// module's file(s).
+    fn module_lookup(&self, module: &str, name: &str) -> Res {
+        let files = &self.module_files[module];
+        let named = self.free_by_name.get(name).cloned().unwrap_or_default();
+        let ids: Vec<usize> = named
+            .iter()
+            .copied()
+            .filter(|&id| files.contains(&self.nodes[id].file))
+            .collect();
+        match ids.len() {
+            1 => Res::Edges(vec![(ids[0], EdgeKind::Direct)]),
+            // `module::Type(…)`: a tuple-struct constructor, not a call.
+            0 if self.workspace_types.contains(name) => Res::External,
+            0 => Res::Unresolved(UnresolvedKind::ModulePath, named),
+            _ => Res::Unresolved(UnresolvedKind::Ambiguous, ids),
+        }
     }
 
     /// Render the graph + reachability result as `LINT_callgraph.json`
@@ -535,6 +569,10 @@ impl CallGraph {
         out.push_str(&format!(
             "\"unresolved_common_name\": {}, ",
             count_kind(UnresolvedKind::CommonName)
+        ));
+        out.push_str(&format!(
+            "\"unresolved_module_path\": {}, ",
+            count_kind(UnresolvedKind::ModulePath)
         ));
         out.push_str(&format!("\"reachable\": {}}},\n", reachable_ids.len()));
         // Reachable set with call chains.
@@ -633,6 +671,19 @@ impl CallGraph {
         out.push('}');
         out.push('\n');
         out
+    }
+}
+
+/// The module a source file defines, as a path segment names it:
+/// `src/helper.rs` and `src/helper/mod.rs` both define `helper`. Crate
+/// roots (`lib.rs`, `main.rs`) define none.
+fn module_name(rel: &str) -> Option<&str> {
+    let path = rel.strip_suffix(".rs")?;
+    let (dir, stem) = path.rsplit_once('/').unwrap_or(("", path));
+    match stem {
+        "lib" | "main" => None,
+        "mod" => dir.rsplit('/').next().filter(|d| !d.is_empty()),
+        _ => Some(stem),
     }
 }
 

@@ -690,8 +690,11 @@ impl<'a> Parser<'a> {
                     args: (j + 2, j + 2),
                 });
                 // Rescan inside the macro args: they are expressions in
-                // every macro this workspace uses.
-                return j + 2;
+                // every macro this workspace uses. A `{`-delimited body
+                // is walked as a balanced token tree — its opening brace
+                // is counted like any block's — so the closing `}` cannot
+                // end the enclosing fn early.
+                return if open == Some("{") { j + 1 } else { j + 2 };
             }
             return j + 1;
         }

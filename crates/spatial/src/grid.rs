@@ -4,7 +4,7 @@
 //! 40.58°..40.92° lat) evenly into 16×16 grids; each grid cell is one
 //! region `a_k` with its own double-sided queue.
 
-use crate::geo::Point;
+use crate::geo::{cos_lat_product, distance_from_terms, hav_deg, Point};
 
 /// Identifier of a region (a cell of the [`Grid`]).
 ///
@@ -135,12 +135,48 @@ impl Grid {
     /// Geographic center of a region.
     pub fn center(&self, id: RegionId) -> Point {
         let (c, r) = self.coords(id);
+        Point::new(self.center_lon(c), self.center_lat(r))
+    }
+
+    /// Longitude of every center in column `c`.
+    fn center_lon(&self, c: u32) -> f64 {
         let w = (self.max.lon - self.min.lon) / self.cols as f64;
+        self.min.lon + (c as f64 + 0.5) * w
+    }
+
+    /// Latitude of every center in row `r`.
+    fn center_lat(&self, r: u32) -> f64 {
         let h = (self.max.lat - self.min.lat) / self.rows as f64;
-        Point::new(
-            self.min.lon + (c as f64 + 0.5) * w,
-            self.min.lat + (r as f64 + 0.5) * h,
-        )
+        self.min.lat + (r as f64 + 0.5) * h
+    }
+
+    /// Fills `out` with the great-circle distance from `origin`'s center
+    /// to every region's center, indexed by region id: `out[j]` is
+    /// bit-identical to `center(origin).distance_m(&center(j))`.
+    ///
+    /// Centers are separable — a center's latitude depends only on its
+    /// row, its longitude only on its column — so the haversine terms
+    /// `sin²(Δφ/2)` and `cos φ₁·cos φ₂` are computed once per row and
+    /// `sin²(Δλ/2)` once per column, in the same float operations as
+    /// [`crate::haversine_m`]. Per pair only a multiply, an add, a
+    /// `sqrt` and an `asin` remain, instead of four trig calls and two center
+    /// computations.
+    pub fn center_distances_into(&self, origin: RegionId, out: &mut Vec<f64>) {
+        let o = self.center(origin);
+        let hav_dlon: Vec<f64> = (0..self.cols)
+            .map(|c| hav_deg(o.lon, self.center_lon(c)))
+            .collect();
+        out.clear();
+        out.reserve(self.num_regions());
+        for r in 0..self.rows {
+            let lat = self.center_lat(r);
+            let (hav_dlat, cos_product) = (hav_deg(o.lat, lat), cos_lat_product(o.lat, lat));
+            out.extend(
+                hav_dlon
+                    .iter()
+                    .map(|&s| distance_from_terms(hav_dlat, cos_product, s)),
+            );
+        }
     }
 
     /// Geographic bounding box `[min, max)` of a region.
@@ -403,6 +439,35 @@ mod tests {
             }
             if lat > g.max().lat {
                 prop_assert_eq!(r, rows - 1);
+            }
+        }
+
+        /// Row/column-hoisted center distances are bit-equal to the
+        /// per-pair haversine over arbitrary grid shapes and extents
+        /// (boxes up to tens of degrees, at any latitude short of the
+        /// poles).
+        #[test]
+        fn center_distances_are_bit_equal_to_per_pair_distance(
+            cols in 1u32..=40,
+            rows in 1u32..=40,
+            lon0 in -180.0f64..150.0,
+            lat0 in -80.0f64..50.0,
+            extent in (1e-4f64..30.0, 1e-4f64..30.0),
+            raw in 0u32..1_000_000,
+        ) {
+            let g = Grid::new(
+                Point::new(lon0, lat0),
+                Point::new(lon0 + extent.0, lat0 + extent.1),
+                cols,
+                rows,
+            );
+            let origin = RegionId(raw % g.num_regions() as u32);
+            let mut out = vec![f64::NAN; 3]; // stale contents are replaced
+            g.center_distances_into(origin, &mut out);
+            prop_assert_eq!(out.len(), g.num_regions());
+            let oc = g.center(origin);
+            for j in g.regions() {
+                prop_assert_eq!(out[j.idx()].to_bits(), oc.distance_m(&g.center(j)).to_bits());
             }
         }
 
